@@ -29,6 +29,34 @@ obs::Counter* FallbackCounterFor(const obs::OperatorProfileMetrics* p,
   return p->fallback_unsupported;
 }
 
+/// Heap order for KeyDeadline: std::push_heap/pop_heap keep the earliest
+/// deadline at the front.
+bool LaterDeadline(const KeyDeadline& a, const KeyDeadline& b) {
+  return a.at_ms > b.at_ms;
+}
+
+void PushDeadline(std::vector<KeyDeadline>* heap, int64_t at_ms, size_t hash,
+                  const Row& key) {
+  heap->push_back(KeyDeadline{at_ms, hash, key});
+  std::push_heap(heap->begin(), heap->end(), LaterDeadline);
+}
+
+/// First entry of RowLess-sorted `rows` whose row is not before `row`.
+std::vector<std::pair<Row, int64_t>>::iterator LowerBoundRow(
+    std::vector<std::pair<Row, int64_t>>* rows, const Row& row) {
+  return std::lower_bound(rows->begin(), rows->end(), row,
+                          [](const std::pair<Row, int64_t>& entry,
+                             const Row& r) { return RowLess{}(entry.first, r); });
+}
+
+/// Removes and returns the earliest entry of a non-empty heap.
+KeyDeadline PopDeadline(std::vector<KeyDeadline>* heap) {
+  std::pop_heap(heap->begin(), heap->end(), LaterDeadline);
+  KeyDeadline top = std::move(heap->back());
+  heap->pop_back();
+  return top;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -755,13 +783,33 @@ Status AggregateOperator::EmitGroupUpdate(GroupState* state, const Row& key,
   return Status::OK();
 }
 
-Status AggregateOperator::MakeGroup(GroupState* state) {
-  state->accumulators.reserve(node_->aggs().size());
+Result<AggregateOperator::GroupState*> AggregateOperator::InsertGroup(
+    const Row& key, size_t hash) {
+  // Build the accumulators before inserting, so a MakeAccumulator failure
+  // leaves no empty group behind.
+  GroupState fresh;
+  fresh.accumulators.reserve(node_->aggs().size());
   for (const auto& call : node_->aggs()) {
     ONESQL_ASSIGN_OR_RETURN(AccumulatorPtr acc, MakeAccumulator(call));
-    state->accumulators.push_back(std::move(acc));
+    fresh.accumulators.push_back(std::move(acc));
   }
-  return Status::OK();
+  GroupState* state = groups_.FindOrInsert(key, hash);
+  *state = std::move(fresh);
+  ScheduleExpiry(key, hash);
+  return state;
+}
+
+void AggregateOperator::ScheduleExpiry(const Row& key, size_t hash) {
+  if (node_->event_time_key_indexes().empty()) return;
+  // IsComplete holds exactly when every non-NULL event-time key is at or
+  // below watermark - lateness, i.e. when the largest one is.
+  Timestamp completion = Timestamp::Min();
+  for (size_t i : node_->event_time_key_indexes()) {
+    if (!key[i].is_null()) {
+      completion = std::max(completion, key[i].AsTimestamp());
+    }
+  }
+  PushDeadline(&expiry_, completion.millis(), hash, key);
 }
 
 Status AggregateOperator::ProcessElement(int, const Change& change) {
@@ -780,12 +828,7 @@ Status AggregateOperator::ProcessElement(int, const Change& change) {
   const size_t hash = HashRow(key);
   GroupState* state = groups_.Find(key, hash);
   if (state == nullptr) {
-    // Build the accumulators before inserting, so a MakeAccumulator failure
-    // leaves no empty group behind.
-    GroupState fresh;
-    ONESQL_RETURN_NOT_OK(MakeGroup(&fresh));
-    state = groups_.FindOrInsert(key, hash);
-    *state = std::move(fresh);
+    ONESQL_ASSIGN_OR_RETURN(state, InsertGroup(key, hash));
   }
 
   for (size_t i = 0; i < node_->aggs().size(); ++i) {
@@ -822,10 +865,7 @@ Status AggregateOperator::ApplyRow(ChangeKind kind, const Row& key,
   }
   GroupState* state = groups_.Find(key, hash);
   if (state == nullptr) {
-    GroupState fresh;
-    ONESQL_RETURN_NOT_OK(MakeGroup(&fresh));
-    state = groups_.FindOrInsert(key, hash);
-    *state = std::move(fresh);
+    ONESQL_ASSIGN_OR_RETURN(state, InsertGroup(key, hash));
   }
   const size_t naggs = node_->aggs().size();
   for (size_t i = 0; i < naggs; ++i) {
@@ -899,10 +939,13 @@ Status AggregateOperator::ProcessWatermark(int, Timestamp watermark,
   if (watermark > watermark_) {
     watermark_ = watermark;
     // Extension 2: groups whose event-time keys are below the watermark are
-    // complete — their results are final, so state can be released.
-    groups_.EraseIf([this](const FlatRowMap<GroupState>::Slot& slot) {
-      return IsComplete(slot.key, watermark_);
-    });
+    // complete — their results are final, so state can be released. Only
+    // the groups due by now are visited, earliest completion first.
+    const int64_t due_ms = (watermark_ - allowed_lateness_).millis();
+    while (!expiry_.empty() && expiry_.front().at_ms <= due_ms) {
+      const KeyDeadline due = PopDeadline(&expiry_);
+      if (IsComplete(due.key, watermark_)) groups_.Erase(due.key, due.hash);
+    }
   }
   return EmitWatermark(watermark, ptime);
 }
@@ -986,11 +1029,13 @@ Status AggregateOperator::LoadState(state::Reader* r,
     }
     if (!keep) continue;
     bool inserted = false;
-    GroupState* slot = groups_.FindOrInsert(key, HashRow(key), &inserted);
+    const size_t hash = HashRow(key);
+    GroupState* slot = groups_.FindOrInsert(key, hash, &inserted);
     if (!inserted) {
       return Status::DataLoss("duplicate aggregation group in checkpoint");
     }
     *slot = std::move(state);
+    ScheduleExpiry(key, hash);
   }
   return Status::OK();
 }
@@ -1011,12 +1056,12 @@ Row JoinOperator::KeyOf(const Row& row, bool left) const {
 }
 
 Status JoinOperator::Probe(const Change& change, const Row& key,
-                           bool from_left) {
+                           size_t hash, bool from_left) {
   const SideState& other = from_left ? right_ : left_;
-  auto bucket = other.buckets.find(key);
-  if (bucket == other.buckets.end()) return Status::OK();
+  const Bucket* bucket = other.buckets.Find(key, hash);
+  if (bucket == nullptr) return Status::OK();
 
-  for (const auto& [other_row, count] : bucket->second) {
+  for (const auto& [other_row, count] : bucket->rows) {
     Row joined;
     if (from_left) {
       joined = change.row;
@@ -1041,48 +1086,43 @@ Status JoinOperator::Probe(const Change& change, const Row& key,
   return Status::OK();
 }
 
-Status JoinOperator::ApplyToState(
-    SideState* side, const Change& change, const Row& key,
-    const std::optional<plan::JoinPurgeSpec>& purge) {
-  if (change.kind == ChangeKind::kInsert) {
-    side->buckets[key][change.row] += 1;
-    side->size += 1;
-    if (purge.has_value()) {
-      const Value& et = change.row[purge->et_col];
-      if (!et.is_null()) {
-        side->purge_index.emplace(et.AsTimestamp().millis(),
-                                  std::make_pair(key, change.row));
-      }
-    }
-    return Status::OK();
+void JoinOperator::AddRow(SideState* side, const Row& key, size_t hash,
+                          const Row& row, int64_t mult,
+                          const std::optional<plan::JoinPurgeSpec>& purge) {
+  Bucket* bucket = side->buckets.FindOrInsert(key, hash);
+  auto it = LowerBoundRow(&bucket->rows, row);
+  if (it != bucket->rows.end() && !RowLess{}(row, it->first)) {
+    it->second += mult;
+  } else {
+    bucket->rows.emplace(it, row, mult);
   }
-  // DELETE
-  auto bucket = side->buckets.find(key);
-  if (bucket == side->buckets.end()) {
-    return Status::ExecutionError(
-        "join received a DELETE for a row that was never inserted");
+  side->size += static_cast<size_t>(mult);
+  if (!purge.has_value()) return;
+  const Value& et = row[purge->et_col];
+  if (et.is_null()) return;
+  const int64_t et_ms = et.AsTimestamp().millis();
+  if (et_ms < bucket->queued_et) {
+    bucket->queued_et = et_ms;
+    PushDeadline(&side->purge_queue, et_ms, hash, key);
   }
-  auto row_it = bucket->second.find(change.row);
-  if (row_it == bucket->second.end()) {
-    return Status::ExecutionError(
-        "join received a DELETE for a row that was never inserted");
-  }
-  if (--row_it->second == 0) bucket->second.erase(row_it);
-  if (bucket->second.empty()) side->buckets.erase(bucket);
-  side->size -= 1;
-  if (purge.has_value()) {
-    const Value& et = change.row[purge->et_col];
-    if (!et.is_null()) {
-      auto range = side->purge_index.equal_range(et.AsTimestamp().millis());
-      for (auto it = range.first; it != range.second; ++it) {
-        if (RowsEqual(it->second.second, change.row)) {
-          side->purge_index.erase(it);
-          break;
-        }
-      }
+}
+
+Status JoinOperator::RemoveRow(SideState* side, const Row& key, size_t hash,
+                               const Row& row) {
+  // The purge queue is left alone: a bucket's queued time stays a lower
+  // bound on its remaining rows' event times.
+  Bucket* bucket = side->buckets.Find(key, hash);
+  if (bucket != nullptr) {
+    auto it = LowerBoundRow(&bucket->rows, row);
+    if (it != bucket->rows.end() && !RowLess{}(row, it->first)) {
+      if (--it->second == 0) bucket->rows.erase(it);
+      if (bucket->rows.empty()) side->buckets.Erase(key, hash);
+      side->size -= 1;
+      return Status::OK();
     }
   }
-  return Status::OK();
+  return Status::ExecutionError(
+      "join received a DELETE for a row that was never inserted");
 }
 
 Status JoinOperator::ProcessElement(int port, const Change& change) {
@@ -1096,43 +1136,60 @@ Status JoinOperator::ProcessElement(int port, const Change& change) {
   for (const Value& v : key) {
     if (v.is_null()) return Status::OK();
   }
-  ONESQL_RETURN_NOT_OK(Probe(change, key, from_left));
-  return ApplyToState(from_left ? &left_ : &right_, change, key,
-                      from_left ? node_->left_purge() : node_->right_purge());
+  const size_t hash = HashRow(key);
+  ONESQL_RETURN_NOT_OK(Probe(change, key, hash, from_left));
+  SideState* side = from_left ? &left_ : &right_;
+  if (change.kind == ChangeKind::kInsert) {
+    AddRow(side, key, hash, change.row, 1,
+           from_left ? node_->left_purge() : node_->right_purge());
+    return Status::OK();
+  }
+  return RemoveRow(side, key, hash, change.row);
 }
 
-Status JoinOperator::PurgeSide(SideState* side,
-                               const std::optional<plan::JoinPurgeSpec>& purge,
-                               Timestamp watermark) {
-  if (!purge.has_value()) return Status::OK();
+void JoinOperator::PurgeSide(SideState* side,
+                             const std::optional<plan::JoinPurgeSpec>& purge,
+                             Timestamp watermark) {
+  if (!purge.has_value()) return;
   // Rows with et + slack <= watermark can never match future rows of the
   // other side, and (by the optimizer's safety analysis) will never be
   // retracted — release them.
   const int64_t cutoff = watermark.millis() - purge->slack.millis();
-  auto it = side->purge_index.begin();
-  while (it != side->purge_index.end() && it->first <= cutoff) {
-    const auto& [key, row] = it->second;
-    auto bucket = side->buckets.find(key);
-    if (bucket != side->buckets.end()) {
-      auto row_it = bucket->second.find(row);
-      if (row_it != bucket->second.end()) {
-        // One purge-index entry exists per inserted instance; remove one.
-        if (--row_it->second == 0) bucket->second.erase(row_it);
-        side->size -= 1;
+  while (!side->purge_queue.empty() &&
+         side->purge_queue.front().at_ms <= cutoff) {
+    const KeyDeadline due = PopDeadline(&side->purge_queue);
+    Bucket* bucket = side->buckets.Find(due.key, due.hash);
+    // Stale entry: the bucket was emptied, or is queued at another time.
+    if (bucket == nullptr || bucket->queued_et != due.at_ms) continue;
+    int64_t next_et = kNoPurgeEntry;
+    std::erase_if(bucket->rows, [&](const std::pair<Row, int64_t>& entry) {
+      const Value& et = entry.first[purge->et_col];
+      if (et.is_null()) return false;
+      const int64_t et_ms = et.AsTimestamp().millis();
+      if (et_ms <= cutoff) {
+        side->size -= static_cast<size_t>(entry.second);
+        return true;
       }
-      if (bucket->second.empty()) side->buckets.erase(bucket);
+      next_et = std::min(next_et, et_ms);
+      return false;
+    });
+    if (bucket->rows.empty()) {
+      side->buckets.Erase(due.key, due.hash);
+      continue;
     }
-    it = side->purge_index.erase(it);
+    bucket->queued_et = next_et;
+    if (next_et != kNoPurgeEntry) {
+      PushDeadline(&side->purge_queue, next_et, due.hash, due.key);
+    }
   }
-  return Status::OK();
 }
 
 Status JoinOperator::ProcessWatermark(int port, Timestamp watermark,
                                    Timestamp ptime) {
   if (merger_.Update(port, watermark)) {
     const Timestamp combined = merger_.combined();
-    ONESQL_RETURN_NOT_OK(PurgeSide(&left_, node_->left_purge(), combined));
-    ONESQL_RETURN_NOT_OK(PurgeSide(&right_, node_->right_purge(), combined));
+    PurgeSide(&left_, node_->left_purge(), combined);
+    PurgeSide(&right_, node_->right_purge(), combined);
     return EmitWatermark(combined, ptime);
   }
   return Status::OK();
@@ -1141,9 +1198,9 @@ Status JoinOperator::ProcessWatermark(int port, Timestamp watermark,
 size_t JoinOperator::StateBytes() const {
   size_t total = 0;
   for (const SideState* side : {&left_, &right_}) {
-    for (const auto& [key, bucket] : side->buckets) {
-      total += key.size() * sizeof(Value) + 64;
-      for (const auto& [row, count] : bucket) {
+    for (const auto& slot : side->buckets.slots()) {
+      total += slot.key.size() * sizeof(Value) + 64;
+      for (const auto& [row, count] : slot.value.rows) {
         (void)count;
         total += row.size() * sizeof(Value) + 48;
       }
@@ -1152,38 +1209,67 @@ size_t JoinOperator::StateBytes() const {
   return total;
 }
 
-void JoinOperator::SaveSide(const SideState& side, state::Writer* w) {
+void JoinOperator::SaveSide(const SideState& side,
+                            const std::optional<plan::JoinPurgeSpec>& purge,
+                            state::Writer* w) {
   // Canonical order: key buckets sorted by the equi-key tuple; rows within a
-  // bucket are already ordered (std::map with RowLess).
-  std::vector<const std::pair<const Row, std::map<Row, int64_t, RowLess>>*>
-      entries;
+  // bucket are already RowLess-ordered.
+  using Slot = FlatRowMap<Bucket>::Slot;
+  std::vector<const Slot*> entries;
   entries.reserve(side.buckets.size());
-  for (const auto& entry : side.buckets) entries.push_back(&entry);
+  for (const Slot& slot : side.buckets.slots()) entries.push_back(&slot);
   std::sort(entries.begin(), entries.end(),
-            [](const auto* a, const auto* b) {
-              return RowLess{}(a->first, b->first);
+            [](const Slot* a, const Slot* b) {
+              return RowLess{}(a->key, b->key);
             });
   w->PutVarint(entries.size());
-  for (const auto* entry : entries) {
-    w->PutRow(entry->first);
-    w->PutVarint(entry->second.size());
-    for (const auto& [row, mult] : entry->second) {
+  for (const Slot* entry : entries) {
+    w->PutRow(entry->key);
+    w->PutVarint(entry->value.rows.size());
+    for (const auto& [row, mult] : entry->value.rows) {
       w->PutRow(row);
       w->PutSigned(mult);
     }
   }
-  // The purge index: multimap order is deterministic (same-timestamp entries
-  // keep insertion order, which is the deterministic input order).
-  w->PutVarint(side.purge_index.size());
-  for (const auto& [et, key_and_row] : side.purge_index) {
-    w->PutSigned(et);
-    w->PutRow(key_and_row.first);
-    w->PutRow(key_and_row.second);
+  // The purge entries of the checkpoint format, derived from the rows: one
+  // (et, key, row) per row instance with a non-NULL event time, in (et, key,
+  // row) order. Loading ignores them and derives the queue again.
+  struct PurgeRef {
+    int64_t et_ms;
+    const Row* key;
+    const Row* row;
+    int64_t mult;
+  };
+  std::vector<PurgeRef> refs;
+  size_t npurge = 0;
+  if (purge.has_value()) {
+    for (const Slot* entry : entries) {
+      for (const auto& [row, mult] : entry->value.rows) {
+        const Value& et = row[purge->et_col];
+        if (et.is_null()) continue;
+        refs.push_back({et.AsTimestamp().millis(), &entry->key, &row, mult});
+        npurge += static_cast<size_t>(mult);
+      }
+    }
+  }
+  // Key and row order are already canonical; a stable sort on et keeps it.
+  std::stable_sort(refs.begin(), refs.end(),
+                   [](const PurgeRef& a, const PurgeRef& b) {
+                     return a.et_ms < b.et_ms;
+                   });
+  w->PutVarint(npurge);
+  for (const PurgeRef& ref : refs) {
+    for (int64_t i = 0; i < ref.mult; ++i) {
+      w->PutSigned(ref.et_ms);
+      w->PutRow(*ref.key);
+      w->PutRow(*ref.row);
+    }
   }
 }
 
-Status JoinOperator::LoadSide(SideState* side, state::Reader* r,
-                              const StateKeyFilter* filter) {
+Status JoinOperator::LoadSide(SideState* side,
+                              const std::optional<plan::JoinPurgeSpec>& purge,
+                              state::Reader* r, const StateKeyFilter* filter) {
   ONESQL_ASSIGN_OR_RETURN(uint64_t nbuckets, r->ReadVarint());
   if (nbuckets > r->remaining()) {
     return Status::DataLoss("impossible join bucket count in checkpoint");
@@ -1197,44 +1283,42 @@ Status JoinOperator::LoadSide(SideState* side, state::Reader* r,
     // Both join sides key their state by the aligned equi-key tuple, so one
     // filter covers both; a bucket lives in exactly one saved section.
     const bool keep = filter == nullptr || filter->Keep(key);
+    const size_t hash = HashRow(key);
     for (uint64_t j = 0; j < nrows; ++j) {
       ONESQL_ASSIGN_OR_RETURN(Row row, r->ReadRow());
       ONESQL_ASSIGN_OR_RETURN(int64_t mult, r->ReadSigned());
       if (mult <= 0) {
         return Status::DataLoss("non-positive join multiplicity in checkpoint");
       }
-      if (!keep) continue;
-      side->buckets[key][std::move(row)] += mult;
-      side->size += static_cast<size_t>(mult);
+      if (keep) AddRow(side, key, hash, row, mult, purge);
     }
   }
+  // The saved purge entries are derived from the rows read above; the queue
+  // was rebuilt from those rows, so the entries are only skipped.
   ONESQL_ASSIGN_OR_RETURN(uint64_t npurge, r->ReadVarint());
   if (npurge > r->remaining()) {
     return Status::DataLoss("impossible purge index size in checkpoint");
   }
   for (uint64_t i = 0; i < npurge; ++i) {
-    ONESQL_ASSIGN_OR_RETURN(int64_t et, r->ReadSigned());
-    ONESQL_ASSIGN_OR_RETURN(Row key, r->ReadRow());
-    ONESQL_ASSIGN_OR_RETURN(Row row, r->ReadRow());
-    if (filter != nullptr && !filter->Keep(key)) continue;
-    side->purge_index.emplace(et, std::make_pair(std::move(key),
-                                                 std::move(row)));
+    ONESQL_RETURN_NOT_OK(r->ReadSigned().status());
+    ONESQL_RETURN_NOT_OK(r->ReadRow().status());
+    ONESQL_RETURN_NOT_OK(r->ReadRow().status());
   }
   return Status::OK();
 }
 
 Status JoinOperator::SaveState(state::Writer* w) const {
   merger_.SaveState(w);
-  SaveSide(left_, w);
-  SaveSide(right_, w);
+  SaveSide(left_, node_->left_purge(), w);
+  SaveSide(right_, node_->right_purge(), w);
   return Status::OK();
 }
 
 Status JoinOperator::LoadState(state::Reader* r,
                                const StateKeyFilter* filter) {
   ONESQL_RETURN_NOT_OK(merger_.LoadState(r));
-  ONESQL_RETURN_NOT_OK(LoadSide(&left_, r, filter));
-  return LoadSide(&right_, r, filter);
+  ONESQL_RETURN_NOT_OK(LoadSide(&left_, node_->left_purge(), r, filter));
+  return LoadSide(&right_, node_->right_purge(), r, filter);
 }
 
 }  // namespace exec

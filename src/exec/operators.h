@@ -1,6 +1,8 @@
 #ifndef ONESQL_EXEC_OPERATORS_H_
 #define ONESQL_EXEC_OPERATORS_H_
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -169,6 +171,15 @@ class SessionOperator : public Operator {
   int64_t late_drops_ = 0;
 };
 
+/// An entry of a min-heap on event time, kept with std::push_heap/pop_heap
+/// (see LaterDeadline in operators.cc): the aggregate's expiry queue and the
+/// join's purge queue. `hash` is HashRow(key).
+struct KeyDeadline {
+  int64_t at_ms;
+  size_t hash;
+  Row key;
+};
+
 /// Grouped aggregation over a changelog. Emits retraction pairs
 /// (DELETE old row, INSERT new row) whenever a group's output changes —
 /// never emitting when the output row is unchanged. Implements Extension 2:
@@ -201,8 +212,6 @@ class AggregateOperator : public Operator {
   };
 
   Result<Row> EvalKey(const Row& input) const;
-  /// Builds the accumulator set for a fresh group.
-  Status MakeGroup(GroupState* state);
   /// True when every event-time key of `key` is at or below the watermark.
   bool IsComplete(const Row& key, Timestamp watermark) const;
   Status EmitGroupUpdate(GroupState* state, const Row& key, Timestamp ptime);
@@ -211,10 +220,19 @@ class AggregateOperator : public Operator {
   /// cannot fail — so pre-evaluation cannot reorder errors).
   Status ApplyRow(ChangeKind kind, const Row& key, size_t hash,
                   const Value* args, Timestamp ptime);
+  /// Creates the (absent) group for `key` and schedules its expiry.
+  Result<GroupState*> InsertGroup(const Row& key, size_t hash);
+  /// Queues `key` for expiry at its completion time: the largest non-NULL
+  /// event-time key (Min() when all are NULL). No-op without event-time keys.
+  void ScheduleExpiry(const Row& key, size_t hash);
 
   const plan::AggregateNode* node_;
   Interval allowed_lateness_{0};
   FlatRowMap<GroupState> groups_;
+  /// Groups by completion time. A group emptied and re-created before it
+  /// completes leaves a stale duplicate; popping it finds no group (or the
+  /// live one, which is just as complete) and is harmless.
+  std::vector<KeyDeadline> expiry_;
   Timestamp watermark_ = Timestamp::Min();
   int64_t late_drops_ = 0;
   // Batch-path scratch: key/argument columns evaluated a vector at a time.
@@ -245,25 +263,43 @@ class JoinOperator : public Operator {
   size_t right_rows() const { return right_.size; }
 
  private:
+  static constexpr int64_t kNoPurgeEntry =
+      std::numeric_limits<int64_t>::max();
+  /// One equi-key's rows with their multiplicities, sorted by RowLess: a
+  /// probe emits in this order, which keeps output bytes independent of the
+  /// order rows arrived in.
+  struct Bucket {
+    std::vector<std::pair<Row, int64_t>> rows;
+    /// Where the bucket sits in the side's purge queue: at or below the
+    /// purge event time of each of its rows (kNoPurgeEntry: not queued).
+    int64_t queued_et = kNoPurgeEntry;
+  };
   struct SideState {
-    // key -> (row -> multiplicity)
-    std::unordered_map<Row, std::map<Row, int64_t, RowLess>, RowHash, RowEq>
-        buckets;
-    // event time (ms) -> rows pending purge, parallel to `buckets`.
-    std::multimap<int64_t, std::pair<Row, Row>> purge_index;  // (key, row)
+    FlatRowMap<Bucket> buckets;
+    /// Derived from the rows, never saved: each bucket holding a row with a
+    /// non-NULL purge event time is queued at its `queued_et`. Entries whose
+    /// bucket has since been emptied or re-queued are skipped when popped.
+    std::vector<KeyDeadline> purge_queue;
     size_t size = 0;
   };
 
   Row KeyOf(const Row& row, bool left) const;
-  Status Probe(const Change& change, const Row& key, bool from_left);
-  Status ApplyToState(SideState* side, const Change& change, const Row& key,
-                      const std::optional<plan::JoinPurgeSpec>& purge);
-  Status PurgeSide(SideState* side,
-                   const std::optional<plan::JoinPurgeSpec>& purge,
-                   Timestamp watermark);
-  static void SaveSide(const SideState& side, state::Writer* w);
-  static Status LoadSide(SideState* side, state::Reader* r,
-                         const StateKeyFilter* filter);
+  Status Probe(const Change& change, const Row& key, size_t hash,
+               bool from_left);
+  static void AddRow(SideState* side, const Row& key, size_t hash,
+                     const Row& row, int64_t mult,
+                     const std::optional<plan::JoinPurgeSpec>& purge);
+  static Status RemoveRow(SideState* side, const Row& key, size_t hash,
+                          const Row& row);
+  static void PurgeSide(SideState* side,
+                        const std::optional<plan::JoinPurgeSpec>& purge,
+                        Timestamp watermark);
+  static void SaveSide(const SideState& side,
+                       const std::optional<plan::JoinPurgeSpec>& purge,
+                       state::Writer* w);
+  static Status LoadSide(SideState* side,
+                         const std::optional<plan::JoinPurgeSpec>& purge,
+                         state::Reader* r, const StateKeyFilter* filter);
 
   const plan::JoinNode* node_;
   SideState left_;

@@ -92,24 +92,6 @@ class FlatRowMap {
     return false;
   }
 
-  /// Iterates all slots, erasing those for which `pred(slot)` returns true.
-  /// Safe with respect to swap-removal.
-  template <typename Pred>
-  void EraseIf(Pred pred) {
-    size_t i = 0;
-    while (i < slots_.size()) {
-      if (pred(slots_[i])) {
-        const Row key = slots_[i].key;  // copy: Erase moves slots around
-        const size_t h = slots_[i].hash;
-        Erase(key, h);
-        // slots_[i] now holds the previously-last slot (or is gone) —
-        // re-examine the same position.
-      } else {
-        ++i;
-      }
-    }
-  }
-
  private:
   void MaybeGrow() {
     if (index_.empty()) {

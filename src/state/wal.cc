@@ -275,14 +275,16 @@ Status GroupCommitLog::Append(WalRecord record) {
                             std::to_string(enqueued_seq_) + ", got " +
                             std::to_string(record.seq));
   }
+  // No wake-up here: the records of one caller stay pending together until
+  // it waits for them, so one Engine::Feed call is one fsync group.
   pending_.push_back(std::move(record));
   ++enqueued_seq_;
-  work_cv_.notify_one();
   return Status::OK();
 }
 
 Status GroupCommitLog::WaitDurable(uint64_t up_to_seq) {
   std::unique_lock<std::mutex> lock(mu_);
+  work_cv_.notify_one();
   const obs::WalMetrics* metrics = metrics_;
   const uint64_t start = metrics != nullptr ? MonotonicMicros() : 0;
   durable_cv_.wait(

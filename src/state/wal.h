@@ -108,6 +108,8 @@ class FeedLog {
 /// A single appender thread owns the underlying log. Producers enqueue
 /// records with Append (cheap: one mutex-protected vector push) and block in
 /// WaitDurable until the appender's next fsync covers their sequence number.
+/// Only WaitDurable wakes the appender, so everything one producer enqueued
+/// before waiting lands in one group.
 /// While one fsync is in flight every newly enqueued record accumulates into
 /// the next group, so the fsync cost is amortized across all feeders that
 /// arrived during it — under contention the log pays one fsync per *group*,
@@ -137,7 +139,8 @@ class GroupCommitLog {
   GroupCommitLog& operator=(const GroupCommitLog&) = delete;
 
   /// Enqueues one record. `record.seq` must equal next_seq() (enqueue
-  /// order). Returns immediately; durability comes from WaitDurable.
+  /// order). Returns immediately; the record is written once some caller
+  /// reaches WaitDurable, Sync or Close.
   Status Append(WalRecord record);
 
   /// Blocks until every record with seq < `up_to_seq` is fsync'd (or the

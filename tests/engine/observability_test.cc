@@ -299,9 +299,8 @@ TEST(ObservabilityTest, CountersAreCoherentAcrossCheckpointRestore) {
     options.shards = 2;
     auto q = a.Execute(kKeyedAggAfterWatermark, options);
     ASSERT_TRUE(q.ok()) << q.status().ToString();
-    // Synchronous WAL mode: the exact-count assertions below depend on one
-    // fsync per Feed call. Group commit fsyncs per *group*, and the number
-    // of groups a batch splits into depends on appender-thread timing.
+    // Synchronous WAL mode; GroupCommitSyncsOncePerFeedCall below pins the
+    // same one-fsync-per-Feed count under group commit.
     DurabilityOptions durability;
     durability.group_commit = false;
     ASSERT_TRUE(a.EnableDurability(dir, durability).ok());
@@ -393,6 +392,42 @@ TEST(ObservabilityTest, CountersAreCoherentAcrossCheckpointRestore) {
   EXPECT_EQ(after.CounterValue("onesql_source_rows_total",
                                {{"source", "bid"}}),
             4u);
+}
+
+// Group commit with a single feeder: the appender wakes only when the
+// feeder waits, so each Feed call's records form exactly one fsync group,
+// however the appender thread happens to be scheduled.
+TEST(ObservabilityTest, GroupCommitSyncsOncePerFeedCall) {
+  const std::string dir = NewTempDir("obs_group_commit");
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
+  ASSERT_TRUE(engine.Execute(kKeyedAggAfterWatermark).ok());
+  ASSERT_TRUE(engine.EnableDurability(dir).ok());  // group commit: default
+  ASSERT_TRUE(engine.EnableObservability(MetricsAndTracing()).ok());
+
+  constexpr int kCalls = 40;
+  constexpr int kEventsPerCall = 64;
+  int minute = 0;
+  for (int call = 0; call < kCalls; ++call) {
+    std::vector<FeedEvent> events;
+    for (int i = 0; i < kEventsPerCall - 1; ++i) {
+      events.push_back(BidInsert(T(9, 0) + Interval::Minutes(minute),
+                                 T(8, 0) + Interval::Minutes(minute), i, "x"));
+    }
+    events.push_back(BidWatermark(T(9, 0) + Interval::Minutes(minute),
+                                  T(8, 0) + Interval::Minutes(minute)));
+    ++minute;
+    ASSERT_TRUE(engine.Feed(events).ok());
+  }
+
+  const obs::MetricsSnapshot snap = engine.MetricsSnapshot();
+  EXPECT_EQ(snap.CounterValue("onesql_wal_appends_total"),
+            uint64_t{kCalls} * kEventsPerCall);
+  EXPECT_EQ(snap.CounterValue("onesql_wal_syncs_total"), uint64_t{kCalls});
+  const obs::HistogramData* group_size =
+      snap.HistogramOf("onesql_wal_group_size");
+  ASSERT_NE(group_size, nullptr);
+  EXPECT_EQ(group_size->TotalCount(), uint64_t{kCalls});
 }
 
 }  // namespace
